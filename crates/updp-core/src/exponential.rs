@@ -1,4 +1,4 @@
-//! The exponential mechanism, in plain and weighted-segment forms.
+//! The exponential mechanism and its Gumbel-max sampling primitives.
 //!
 //! Given candidates `y ∈ Y` with utility scores `u(D, y)` of sensitivity
 //! `Δu`, the exponential mechanism samples `y` with probability
@@ -8,7 +8,10 @@
 //! Sampling is done with the Gumbel-max trick in log space, which is exact
 //! (same distribution as normalized weights) and immune to `exp` overflow
 //! or underflow even when scores span thousands of nats — which happens
-//! routinely for quantile domains of width `2^40`.
+//! routinely for quantile domains of width `2^40`. The weighted-segment
+//! form the inverse sensitivity mechanism needs is streamed inside
+//! [`crate::inverse_sensitivity::finite_domain_quantile`] on top of
+//! [`sample_gumbel`] and `discard_gumbel`.
 
 use crate::error::{ensure_nonempty, Result, UpdpError};
 use crate::privacy::Epsilon;
@@ -65,48 +68,23 @@ pub fn exponential_mechanism<R: Rng + ?Sized>(
     Ok(best)
 }
 
-/// A segment of candidates sharing one log-weight.
+/// Consumes exactly the uniforms [`sample_gumbel`] would draw, without
+/// computing the variate — for candidates that provably cannot win a
+/// Gumbel-max race but must still advance the RNG stream.
 ///
-/// The inverse sensitivity mechanism over an interval domain partitions
-/// the domain into `O(n)` maximal runs of equal score; each run is a
-/// `WeightedSegment` with `count` = number of candidates in the run and
-/// `log_weight` = per-candidate log weight (`−ε·len/2` for INV).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeightedSegment {
-    /// Number of equally-weighted candidates in this segment (> 0).
-    pub count: u64,
-    /// Natural-log weight of *each* candidate in the segment.
-    pub log_weight: f64,
-}
-
-/// Samples a segment index from `segments` where segment `j` has total
-/// weight `count_j · exp(log_weight_j)`.
-///
-/// Exact sampling via Gumbel-max over `ln(count) + log_weight`. Segments
-/// with `count == 0` are skipped. Errors if every segment is empty.
-pub fn sample_weighted_segment<R: Rng + ?Sized>(
-    rng: &mut R,
-    segments: &[WeightedSegment],
-) -> Result<usize> {
-    let mut best: Option<usize> = None;
-    let mut best_score = f64::NEG_INFINITY;
-    for (j, seg) in segments.iter().enumerate() {
-        if seg.count == 0 {
-            continue;
-        }
-        // updp-lint: allow(R5, reason="-inf is the exact empty-weight sentinel in log space; equality against it is a tag check, not an approximate comparison")
-        debug_assert!(seg.log_weight.is_finite() || seg.log_weight == f64::NEG_INFINITY);
-        // updp-lint: allow(R5, reason="-inf is the exact empty-weight sentinel in log space; equality against it is a tag check, not an approximate comparison")
-        if seg.log_weight == f64::NEG_INFINITY {
-            continue;
-        }
-        let score = (seg.count as f64).ln() + seg.log_weight + sample_gumbel(rng);
-        if score > best_score {
-            best_score = score;
-            best = Some(j);
+/// The draw sequences agree because `sample_gumbel`'s inner rejection
+/// (`−ln U > 0`) never fires: the shim's `gen::<f64>()` is `k·2⁻⁵³`
+/// with `k < 2⁵³`, so every `U > 0` is at most `1 − 2⁻⁵³`, whose `ln`
+/// is already negative. Only the `U == 0` rejection remains, and it is
+/// kept here.
+#[inline]
+pub(crate) fn discard_gumbel<R: Rng + ?Sized>(rng: &mut R) {
+    loop {
+        let u: f64 = rng.gen();
+        if u > 0.0 {
+            return;
         }
     }
-    best.ok_or(UpdpError::EmptyDataset)
 }
 
 #[cfg(test)]
@@ -169,80 +147,44 @@ mod tests {
     }
 
     #[test]
-    fn segment_sampling_respects_count_and_weight() {
-        let mut rng = seeded(5);
-        // Segment 0: 1000 candidates at weight e^0; segment 1: 1 candidate
-        // at weight e^0. Segment 0 should win ~1000/1001 of the time.
-        let segments = [
-            WeightedSegment {
-                count: 1000,
-                log_weight: 0.0,
-            },
-            WeightedSegment {
-                count: 1,
-                log_weight: 0.0,
-            },
-        ];
-        let trials = 50_000;
-        let mut seg0 = 0;
-        for _ in 0..trials {
-            if sample_weighted_segment(&mut rng, &segments).unwrap() == 0 {
-                seg0 += 1;
+    fn largest_uniform_has_a_negative_log() {
+        // `sample_gumbel` rejects U = 0 and then `−ln U ≤ 0`; the second
+        // rejection can only fire at U = 1, which the 53-bit shim never
+        // returns. So `discard_gumbel`, which keeps only the first, draws
+        // the same uniforms.
+        let largest = 1.0 - 2f64.powi(-53);
+        assert!(-largest.ln() > 0.0);
+    }
+
+    #[test]
+    fn discard_gumbel_consumes_the_draws_of_sample_gumbel() {
+        use rand::RngCore;
+        for seed in 0..64 {
+            let (mut a, mut b) = (seeded(seed), seeded(seed));
+            for _ in 0..100 {
+                sample_gumbel(&mut a);
+                discard_gumbel(&mut b);
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}");
+        }
+        // A zero uniform is rejected by both: words below 2^11 map to 0.
+        struct Script(std::vec::IntoIter<u64>);
+        impl RngCore for Script {
+            fn next_u32(&mut self) -> u32 {
+                (self.next_u64() >> 32) as u32
+            }
+            fn next_u64(&mut self) -> u64 {
+                self.0.next().expect("script exhausted")
+            }
+            fn fill_bytes(&mut self, _: &mut [u8]) {
+                unimplemented!()
             }
         }
-        let p = seg0 as f64 / trials as f64;
-        assert!(p > 0.995, "p = {p}");
-    }
-
-    #[test]
-    fn segment_sampling_balances_count_against_weight() {
-        let mut rng = seeded(6);
-        // count 100 at log-weight −ln(100) ≡ total weight 1, vs count 1 at
-        // log-weight 0 ≡ total weight 1: should be ~50/50.
-        let segments = [
-            WeightedSegment {
-                count: 100,
-                log_weight: -(100.0f64).ln(),
-            },
-            WeightedSegment {
-                count: 1,
-                log_weight: 0.0,
-            },
-        ];
-        let trials = 100_000;
-        let mut seg0 = 0;
-        for _ in 0..trials {
-            if sample_weighted_segment(&mut rng, &segments).unwrap() == 0 {
-                seg0 += 1;
-            }
-        }
-        let p = seg0 as f64 / trials as f64;
-        assert!((p - 0.5).abs() < 0.01, "p = {p}");
-    }
-
-    #[test]
-    fn segment_sampling_skips_empty_segments() {
-        let mut rng = seeded(7);
-        let segments = [
-            WeightedSegment {
-                count: 0,
-                log_weight: 100.0,
-            },
-            WeightedSegment {
-                count: 1,
-                log_weight: -50.0,
-            },
-        ];
-        assert_eq!(sample_weighted_segment(&mut rng, &segments).unwrap(), 1);
-    }
-
-    #[test]
-    fn segment_sampling_errors_on_all_empty() {
-        let mut rng = seeded(8);
-        let segments = [WeightedSegment {
-            count: 0,
-            log_weight: 0.0,
-        }];
-        assert!(sample_weighted_segment(&mut rng, &segments).is_err());
+        let words = vec![0, 2047, u64::MAX, 7 << 11, 99];
+        let (mut a, mut b) = (Script(words.clone().into_iter()), Script(words.into_iter()));
+        sample_gumbel(&mut a);
+        discard_gumbel(&mut b);
+        assert_eq!(a.next_u64(), 7 << 11);
+        assert_eq!(b.next_u64(), 7 << 11);
     }
 }

@@ -74,13 +74,27 @@ impl SortedInts {
     /// Algorithm 3. `x` is a `u64` radius; values beyond `i64`'s range
     /// trivially cover everything.
     pub fn count_within_radius(&self, x: u64) -> usize {
+        self.count_within_radius_of(0, x)
+    }
+
+    /// `Count(D″, x)` for the recentred dataset `D″ = D − center` of
+    /// Algorithm 4, each `v − center` saturating at the `i64` boundary,
+    /// without building `D″`: the saturating shift is monotone in `v`,
+    /// so two binary searches over `D` under it find the same count.
+    pub fn count_within_radius_of(&self, center: i64, x: u64) -> usize {
         let hi = i64::try_from(x).unwrap_or(i64::MAX);
         let lo = if x >= 1u64 << 63 {
             i64::MIN
         } else {
             -(x as i64)
         };
-        self.count_in(lo, hi)
+        let start = self
+            .values
+            .partition_point(|&v| v.saturating_sub(center) < lo);
+        let end = self
+            .values
+            .partition_point(|&v| v.saturating_sub(center) <= hi);
+        end - start
     }
 
     /// `|D ∩ [lo, hi]|` via two binary searches.
@@ -116,27 +130,6 @@ impl SortedInts {
         debug_assert!(other.windows(2).all(|w| w[0] <= w[1]));
         SortedInts {
             values: merge_sorted_by(&self.values, other, |a, b| a <= b),
-        }
-    }
-
-    /// Clips every value into `[lo, hi]`, preserving sortedness.
-    pub fn clip(&self, lo: i64, hi: i64) -> SortedInts {
-        debug_assert!(lo <= hi);
-        SortedInts {
-            values: self.values.iter().map(|&v| v.clamp(lo, hi)).collect(),
-        }
-    }
-
-    /// Shifts every value by `−shift` (i.e. recenters at `shift`),
-    /// saturating at the `i64` boundary — the `D″ = D − X̃` step of
-    /// Algorithm 4.
-    pub fn shift_by(&self, shift: i64) -> SortedInts {
-        SortedInts {
-            values: self
-                .values
-                .iter()
-                .map(|&v| v.saturating_sub(shift))
-                .collect(),
         }
     }
 
@@ -185,6 +178,7 @@ pub(crate) fn merge_sorted_by<T: Copy>(a: &[T], b: &[T], le: impl Fn(&T, &T) -> 
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn construction_sorts_and_rejects_empty() {
@@ -250,20 +244,54 @@ mod tests {
         assert_eq!(d.order_statistic(99), 30); // above range → Xₙ
     }
 
-    #[test]
-    fn clip_and_shift() {
-        let d = SortedInts::new(vec![-100, 0, 100]).unwrap();
-        let c = d.clip(-10, 10);
-        assert_eq!(c.values(), &[-10, 0, 10]);
-        let s = d.shift_by(50);
-        assert_eq!(s.values(), &[-150, -50, 50]);
+    /// `D − shift`, saturating, built explicitly: the reference for
+    /// `count_within_radius_of`.
+    fn shift_by(d: &SortedInts, shift: i64) -> SortedInts {
+        SortedInts::from_sorted(
+            d.values()
+                .iter()
+                .map(|&v| v.saturating_sub(shift))
+                .collect(),
+        )
+        .unwrap()
     }
 
     #[test]
-    fn shift_saturates() {
-        let d = SortedInts::new(vec![i64::MIN + 1]).unwrap();
-        let s = d.shift_by(10);
-        assert_eq!(s.values(), &[i64::MIN]);
+    fn count_within_radius_of_saturates_like_the_shift() {
+        let d = SortedInts::new(vec![i64::MIN, i64::MIN + 1, -5, 0, 7, i64::MAX]).unwrap();
+        for center in [i64::MIN, i64::MIN + 1, -10, 0, 10, i64::MAX - 1, i64::MAX] {
+            for x in [0, 1, 5, 12, 1 << 62, (1 << 63) - 1, 1 << 63, u64::MAX] {
+                assert_eq!(
+                    d.count_within_radius_of(center, x),
+                    shift_by(&d, center).count_within_radius(x),
+                    "center {center} x {x}"
+                );
+            }
+        }
+        // Shifting by 10 pins i64::MIN + 1 at i64::MIN with i64::MIN.
+        assert_eq!(shift_by(&d, 10).values()[..2], [i64::MIN, i64::MIN]);
+    }
+
+    proptest! {
+        #[test]
+        fn count_within_radius_of_matches_shifted_count(
+            raw in prop::collection::vec(-1000i64..1000, 1..64),
+            scale_bits in 0u32..64,
+            center_raw in -1000i64..1000,
+            center_bits in 0u32..64,
+            x_bits in 0u32..65,
+            x_mul in 0u64..4,
+        ) {
+            // Left shifts wrap to the full i64 range, so large scales
+            // push values and centers into the saturating regime.
+            let d = SortedInts::new(raw.iter().map(|&v| v.wrapping_shl(scale_bits)).collect()).unwrap();
+            let center = center_raw.wrapping_shl(center_bits);
+            let x = if x_bits == 64 { u64::MAX } else { (1u64 << x_bits).saturating_mul(x_mul) };
+            prop_assert_eq!(
+                d.count_within_radius_of(center, x),
+                shift_by(&d, center).count_within_radius(x)
+            );
+        }
     }
 
     #[test]
